@@ -177,6 +177,21 @@ func BenchmarkFig7Sampling(b *testing.B) {
 			b.ReportMetric(100*rate, "%detected")
 		})
 	}
+	// The shape of one cold failure-sampling audit: k=16, fair coin, 20k
+	// rounds on one worker, a fixed seed.
+	b.Run("k=16/fair/rounds=20000", func(b *testing.B) {
+		g := fig7Workload(b, 16)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fam, err := riskgroup.Sampler{Rounds: 20_000, Shrink: true, Seed: 7, Workers: 1}.Sample(g)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(fam) == 0 {
+				b.Fatal("no RGs detected")
+			}
+		}
+	})
 }
 
 // fullBench gates the near-paper-scale benchmarks: the k=24 exact

@@ -411,11 +411,12 @@ func (s *Server) resolveDB(records []RecordWire) (*depdb.Snapshot, error) {
 // was planned (adopted ancestor result, partial recompute, dirty subjects)
 // and what to publish into the lineage when it completes.
 type jobExtras struct {
-	adopt   any      // pre-resolved result: finish instantly, no computation
-	deltaH  bool     // job is a delta hit (adopt) or delta partial
-	partial bool     // job re-audits only its dirty subjects
-	dirty   []string // the dirty subjects
-	reg     *lineageReg
+	adopt    any      // pre-resolved result: finish instantly, no computation
+	adoptKey string   // the content address adopt was read from
+	deltaH   bool     // job is a delta hit (adopt) or delta partial
+	partial  bool     // job re-audits only its dirty subjects
+	dirty    []string // the dirty subjects
+	reg      *lineageReg
 	// journalKind/journalReq describe how to journal the submission: the
 	// wire request is marshaled and persisted under the job's id before the
 	// job can enter the queue, so a kill -9 cannot silently discard accepted
@@ -437,7 +438,7 @@ type jobExtras struct {
 func (e *jobExtras) applyPlan(p *deltaPlan) {
 	e.deltaH = true
 	if p.adopt != nil {
-		e.adopt = p.adopt
+		e.adopt, e.adoptKey = p.adopt, p.adoptKey
 		return
 	}
 	e.partial = true
@@ -488,11 +489,11 @@ func (s *Server) enqueue(key, title string, timeoutMS int64, run func(ctx contex
 	if extra.adopt != nil {
 		// Delta hit: the database changed but the change missed this job's
 		// subjects, so the ancestor result answers it verbatim.
-		s.cache.Put(key, extra.adopt)
+		adopt := s.cache.adopt(key, extra.adoptKey, extra.adopt)
 		j.state = StateDone
 		j.deltaHit = true
 		j.started, j.finished = j.submitted, j.submitted
-		j.result = retitle(extra.adopt, j.title)
+		j.result = retitle(adopt, j.title)
 		close(j.done)
 		s.m.jobDuration.Observe(0) // served within the submit call
 		s.m.deltaHits.Add(1)
@@ -514,7 +515,7 @@ func (s *Server) enqueue(key, title string, timeoutMS int64, run func(ctx contex
 
 	var res any
 	var hit, diskHit bool
-	if r, ok := s.cache.Get(key); ok {
+	if r, ok := s.cache.peek(key); ok {
 		res, hit = r, true
 	} else if len(s.tiers) > 1 && s.inflight[key] == nil {
 		// Probe the lower result tiers — disk, then any extras (a cluster
@@ -533,8 +534,7 @@ func (s *Server) enqueue(key, title string, timeoutMS int64, run func(ctx contex
 		if ok {
 			// An identical job may have promoted the same bytes during the
 			// probe; overwriting with an equal decode is harmless.
-			s.cache.Put(key, r)
-			res, hit = r, true
+			res, hit = s.cache.store(key, r), true
 			diskHit = tier == tierDisk
 		}
 	}
@@ -557,7 +557,7 @@ func (s *Server) enqueue(key, title string, timeoutMS int64, run func(ctx contex
 			return JobStatus{}, &statusErr{code: 503, err: errors.New("service is shutting down")}
 		}
 		j.journaled = jr != nil
-		if r, ok := s.cache.Get(key); ok {
+		if r, ok := s.cache.peek(key); ok {
 			// The identical computation completed while the journal write was
 			// in flight; serve the hit.
 			res, hit = r, true
@@ -790,7 +790,7 @@ func (s *Server) finishLocked(comp *computation, res any, err error) {
 		delete(s.inflight, comp.key)
 	}
 	if err == nil && res != nil {
-		s.cache.Put(comp.key, res)
+		res = s.cache.store(comp.key, res)
 		if comp.reg != nil {
 			comp.reg.entry.resultKey = comp.key
 			s.lineage.addLocked(comp.reg)
@@ -925,7 +925,7 @@ func (s *Server) Result(id string) (any, error) {
 	if j.state != StateDone {
 		return nil, &statusErr{code: 409, err: fmt.Errorf("job %s is %s", id, j.state)}
 	}
-	return j.result, nil
+	return unpackResult(j.result), nil
 }
 
 // Report returns a finished audit job's report; see Result.
@@ -1194,6 +1194,10 @@ func (j *job) statusLocked() JobStatus {
 func retitle(res any, title string) any {
 	switch v := res.(type) {
 	case *report.Report:
+		cp := *v
+		cp.Title = title
+		return &cp
+	case *report.Packed:
 		cp := *v
 		cp.Title = title
 		return &cp

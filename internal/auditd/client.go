@@ -678,8 +678,10 @@ func (w *Watcher) closeBody() {
 	}
 }
 
-// Close ends the stream and releases the connection.
+// Close ends the stream and releases the connection. It is safe to call
+// from another goroutine while Next blocks: Close only cancels the watch
+// context, which aborts the in-flight read, and Next — the sole owner of
+// the connection — then closes it and returns the context's error.
 func (w *Watcher) Close() {
 	w.cancel()
-	w.closeBody()
 }

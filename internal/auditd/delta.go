@@ -170,7 +170,9 @@ func (l *lineageIndex) lookupLocked(reqKey string) []*lineageEntry {
 type deltaPlan struct {
 	// adopt, when non-nil, is an ancestor result valid verbatim for the new
 	// database generation: the job can finish without touching the queue.
-	adopt any
+	// adoptKey is the ancestor's content address.
+	adopt    any
+	adoptKey string
 	// run, when set, replaces the full recompute with a partial one that
 	// re-audits only the dirty subjects.
 	run func(ctx context.Context) (any, error)
@@ -193,7 +195,7 @@ func (s *Server) planAuditDelta(reqKey, key string, snap *depdb.Snapshot, specs 
 		subjects []string
 		nDirty   int
 	}
-	if _, hit := s.cache.Get(key); hit {
+	if _, hit := s.cache.peek(key); hit {
 		return nil // plain content-addressed hit; enqueue handles it
 	}
 	s.mu.Lock()
@@ -246,7 +248,7 @@ func (s *Server) planAuditDelta(reqKey, key string, snap *depdb.Snapshot, specs 
 		return nil
 	}
 	if chosen.nDirty == 0 {
-		return &deltaPlan{adopt: ancestor}
+		return &deltaPlan{adopt: ancestor, adoptKey: chosen.entry.resultKey}
 	}
 	dirty := chosen.dirty
 	return &deltaPlan{
@@ -262,7 +264,7 @@ func (s *Server) planAuditDelta(reqKey, key string, snap *depdb.Snapshot, specs 
 // partially dirty pool seeds the search with the ancestor's scores for every
 // candidate free of dirty nodes.
 func (s *Server) planRecommendDelta(reqKey, key string, snap *depdb.Snapshot, preq *placement.Request, kinds []deps.Kind, universe []string) *deltaPlan {
-	if _, hit := s.cache.Get(key); hit {
+	if _, hit := s.cache.peek(key); hit {
 		return nil
 	}
 	s.mu.Lock()
@@ -300,7 +302,7 @@ func (s *Server) planRecommendDelta(reqKey, key string, snap *depdb.Snapshot, pr
 		if _, isRec := ancestor.(*RecommendResponse); !isRec {
 			return nil
 		}
-		return &deltaPlan{adopt: ancestor, scores: chosen.scores}
+		return &deltaPlan{adopt: ancestor, adoptKey: chosen.resultKey, scores: chosen.scores}
 	}
 	seed := make(map[string]placement.Score, len(chosen.scores))
 	dirtySet := make(map[string]bool, len(dirtyNodes))

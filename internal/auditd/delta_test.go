@@ -103,6 +103,13 @@ func TestDeltaHitAfterUnrelatedIngest(t *testing.T) {
 	if auditsJSON(t, rep1) != auditsJSON(t, rep2) {
 		t.Fatal("delta-served report differs from the original")
 	}
+	// The adopted generation shares its ancestor's retained result: a delta
+	// hit costs a cache entry, not another copy of the report.
+	kept1, _ := s.cache.peek(first.CacheKey)
+	kept2, _ := s.cache.peek(second.CacheKey)
+	if kept1 == nil || kept1 != kept2 {
+		t.Fatal("the delta hit retained its own copy of the ancestor's report")
+	}
 	st := s.Stats()
 	if st.Computations != 1 || st.DeltaHits != 1 || st.DeltaPartials != 0 {
 		t.Fatalf("stats after delta hit: %+v", st)

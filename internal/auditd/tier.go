@@ -6,7 +6,11 @@ package auditd
 // a peer-cache tier that asks the key's hash owner). Every tier serves the
 // same (key → result) contract, so composing them is just a slice.
 
-import "sync"
+import (
+	"sync"
+
+	"indaas/internal/report"
+)
 
 // ResultTier is one layer of the content-addressed result hierarchy.
 // Implementations synchronize themselves; the server calls them without its
@@ -34,6 +38,12 @@ const tierDisk = "disk"
 // memoryTier is the first tier: the LRU result cache behind its own lock, so
 // reads that used to require the server's job-table lock (delta planning,
 // /v1/cache) can run against the tier directly.
+//
+// Audit reports dominate a daemon's live heap (every retained job keeps
+// one too), so the tier retains them as *report.Packed. Packing is decided
+// here and nowhere else: Get serves the unpacked form like every other
+// tier, and only the paths that hand a result to jobs (store, adopt, peek)
+// see the retained form, which Server.Result unpacks.
 type memoryTier struct {
 	mu  sync.Mutex
 	lru *resultCache
@@ -46,16 +56,57 @@ func newMemoryTier(capacity int) *memoryTier {
 func (t *memoryTier) Name() string { return "memory" }
 
 func (t *memoryTier) Get(key string) (any, bool) {
+	res, ok := t.peek(key)
+	return unpackResult(res), ok
+}
+
+// peek returns the retained form under key, without unpacking.
+func (t *memoryTier) peek(key string) (any, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.lru.get(key)
 }
 
 func (t *memoryTier) Put(key string, res any) []string {
+	t.store(key, res)
+	return nil
+}
+
+// store retains res under key and returns the retained form, which jobs
+// settled with this result share.
+func (t *memoryTier) store(key string, res any) any {
+	if rep, ok := res.(*report.Report); ok {
+		res = report.Pack(rep)
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.lru.put(key, res)
-	return nil
+	return res
+}
+
+// adopt stores under key the result retained under ancestor, shared rather
+// than packed again, so every generation a delta hit adopts costs one cache
+// entry, not one report. res is that result as read from the tiers; it is
+// packed afresh only when ancestor has left the memory tier.
+func (t *memoryTier) adopt(key, ancestor string, res any) any {
+	t.mu.Lock()
+	kept, ok := t.lru.get(ancestor)
+	if ok {
+		t.lru.put(key, kept)
+	}
+	t.mu.Unlock()
+	if ok {
+		return kept
+	}
+	return t.store(key, res)
+}
+
+// unpackResult turns a retained result back into its served form.
+func unpackResult(res any) any {
+	if p, ok := res.(*report.Packed); ok {
+		return p.Unpack()
+	}
+	return res
 }
 
 func (t *memoryTier) Remove(key string) {

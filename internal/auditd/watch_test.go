@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -380,6 +381,44 @@ func TestWatchOverHTTP(t *testing.T) {
 			t.Fatalf("GET %s = %d, want 400", bad, resp.StatusCode)
 		}
 	}
+}
+
+// TestWatcherCloseWhileNextBlocks closes an HTTP watcher from a second
+// goroutine while Next is blocked waiting for the next event: Next must
+// return the context's error promptly, and under -race the two calls must
+// not touch the connection state concurrently.
+func TestWatcherCloseWhileNextBlocks(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer gracefulShutdown(t, s)
+	mustIngest(t, s, deltaRecords())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	w, err := NewClient(ts.URL, ts.Client()).Watch(ctx, deltaAuditRequest("close-race"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev, err := w.Next(); err != nil || ev.Report == nil {
+		t.Fatalf("initial event = %+v, %v", ev, err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		time.Sleep(50 * time.Millisecond) // let Next block on the stream
+		w.Close()
+	}()
+	start := time.Now()
+	ev, err := w.Next() // no ingest follows: only Close can end this call
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Next after Close = %+v, %v; want context.Canceled", ev, err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("Next returned %v after Close, want prompt", elapsed)
+	}
+	<-closed
+	w.Close() // idempotent
 }
 
 // TestWatchSurvivesRestartUnderChurn is the race/restart contract: watch

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -114,6 +115,37 @@ func TestFig7Acceptance(t *testing.T) {
 		}
 		if p.Detected < 0 || p.Detected > 1 {
 			t.Errorf("detection %v out of range", p.Detected)
+		}
+	}
+}
+
+// TestFig7DefaultsVerify runs Fig. 7 exactly as `experiments -run fig7`
+// does, at its default scale, under two CPU counts: the detection figures
+// must not depend on the host, and Verify must pass on both.
+func TestFig7DefaultsVerify(t *testing.T) {
+	if testing.Short() {
+		t.Skip("default-scale Fig. 7")
+	}
+	var first *Fig7Result
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		res, err := RunFig7(Fig7Config{})
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Verify(); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		if first == nil {
+			first = res
+			continue
+		}
+		for i, p := range res.Points {
+			if p.Detected != first.Points[i].Detected {
+				t.Errorf("%s %s: detected %.4f at GOMAXPROCS=%d, %.4f at 1",
+					p.Topology, p.Algorithm, p.Detected, procs, first.Points[i].Detected)
+			}
 		}
 	}
 }

@@ -49,7 +49,10 @@ type Fig7Config struct {
 	Bias float64
 	// Seed seeds the samplers.
 	Seed int64
-	// Workers is the sampler parallelism (0 = one goroutine per CPU).
+	// Workers is the sampler parallelism (default 1; negative = one
+	// goroutine per CPU). The sampled family is a function of (Seed,
+	// Workers), so a fixed default makes the detection figures — and
+	// Verify's verdict — the same on every host.
 	Workers int
 }
 
@@ -68,6 +71,9 @@ func (c *Fig7Config) defaults() {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
+	}
+	if c.Workers == 0 {
+		c.Workers = 1
 	}
 }
 

@@ -87,38 +87,3 @@ func TestAssignmentPoolReturnsCleanAssignments(t *testing.T) {
 	}
 	g.ReleaseAssignment(b)
 }
-
-func TestEvaluatorKofN(t *testing.T) {
-	b := NewBuilder()
-	x := b.Basic("x")
-	y := b.Basic("y")
-	z := b.Basic("z")
-	b.SetTop(b.GateK("top", 2, x, y, z))
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := g.NewEvaluator()
-	a := g.NewAssignment()
-	a[x] = true
-	if ev.EvalBasics(a) {
-		t.Error("1 of 3 fired a 2-of-3 gate")
-	}
-	ev.SetBasic(y, true)
-	if !ev.TopFailed() {
-		t.Error("2 of 3 did not fire")
-	}
-	ev.SetBasic(x, false)
-	if ev.TopFailed() {
-		t.Error("1 of 3 still firing after removal")
-	}
-	ev.SetBasic(z, true)
-	if !ev.TopFailed() {
-		t.Error("y+z did not fire")
-	}
-	// Redundant set to the current state must be a no-op.
-	ev.SetBasic(z, true)
-	if !ev.TopFailed() {
-		t.Error("no-op SetBasic changed state")
-	}
-}

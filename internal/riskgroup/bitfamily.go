@@ -32,6 +32,7 @@ type minCtx struct {
 	probe    bitset.Set // the set currently tested by a dedup eq closure
 	dedup    dedupTable
 	postings [][]int32 // witness index → kept positions (absorption)
+	freq     []int32   // member index → sets containing it (witness choice)
 	touched  []int32   // witness indices to clear after a minimize
 
 	// cctx, when non-nil, is polled every pollInterval set operations so
@@ -74,6 +75,7 @@ func newMinCtx(width int) *minCtx {
 		slab:     128,
 		scratch:  bitset.New(width),
 		postings: make([][]int32, width),
+		freq:     make([]int32, width),
 	}
 }
 
@@ -180,14 +182,14 @@ func sortBrgs(fam []brg) {
 // that is a superset of another kept set is dropped. Runs in place over
 // fam's backing array; the result is sorted by size then lexicographically.
 //
-// Absorption uses witness postings: a kept set t can only absorb a candidate
-// s if t ⊆ s, which requires t's smallest member (its witness) to appear in
-// s. Each kept set is filed under its witness alone, so candidates scan just
-// the kept sets witnessed by their own members and confirm with a word-wise
-// subset test. Postings are published one size class at a time: only
-// strictly smaller sets can absorb (equal-size absorbers would be
-// duplicates, removed up front), so candidates within a class skip each
-// other entirely.
+// Absorption uses witness postings: a kept set t can only absorb s if t ⊆ s,
+// so s contains t's witness — its member rarest in the family, which keeps
+// popular events' postings short. Each kept set is filed under its witness
+// alone, so candidates scan just the kept sets witnessed by their own
+// members and confirm with a word-wise subset test. Postings are published
+// one size class at a time: only strictly smaller sets can absorb
+// (equal-size absorbers would be duplicates, removed up front), so
+// candidates within a class skip each other entirely.
 func (c *minCtx) minimize(fam []brg) []brg {
 	if len(fam) == 0 {
 		return nil
@@ -204,12 +206,26 @@ func (c *minCtx) minimize(fam []brg) []brg {
 		uniq = append(uniq, s)
 	}
 	sortBrgs(uniq)
+	for _, s := range uniq {
+		for wi, w := range s.w {
+			for ; w != 0; w &= w - 1 {
+				c.freq[wi<<6+trailingZeros64(w)]++
+			}
+		}
+	}
 	kept := uniq[:0]
 	classStart := 0 // first kept index not yet published to postings
 	prevSize := -1
 	publish := func(upto int) {
 		for i := classStart; i < upto; i++ {
-			w := kept[i].w.First()
+			w := -1
+			for wi, word := range kept[i].w {
+				for ; word != 0; word &= word - 1 {
+					if e := wi<<6 + trailingZeros64(word); w < 0 || c.freq[e] < c.freq[w] {
+						w = e
+					}
+				}
+			}
 			if w < 0 {
 				continue // the empty set files no witness
 			}
@@ -251,6 +267,7 @@ func (c *minCtx) minimize(fam []brg) []brg {
 		c.postings[w] = c.postings[w][:0]
 	}
 	c.touched = c.touched[:0]
+	clear(c.freq)
 	return kept
 }
 

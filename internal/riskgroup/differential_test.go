@@ -258,31 +258,3 @@ func fig4cGraph(t *testing.T) *faultgraph.Graph {
 	t.Helper()
 	return fig4c(t)
 }
-
-// TestEvaluatorMatchesEvaluate cross-checks the incremental evaluator
-// against Graph.Evaluate over random flip sequences.
-func TestEvaluatorMatchesEvaluate(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	for i := 0; i < 30; i++ {
-		g := randomDAG(r, 2+r.Intn(7), 1+r.Intn(7))
-		ev := g.NewEvaluator()
-		a := g.NewAssignment()
-		basics := g.BasicEvents()
-		for _, id := range basics {
-			a[id] = r.Intn(2) == 0
-		}
-		want := g.Evaluate(append(faultgraph.Assignment(nil), a...))
-		if got := ev.EvalBasics(a); got != want {
-			t.Fatalf("graph %d: EvalBasics = %v, Evaluate = %v", i, got, want)
-		}
-		for flip := 0; flip < 50; flip++ {
-			id := basics[r.Intn(len(basics))]
-			a[id] = !a[id]
-			ev.SetBasic(id, a[id])
-			want := g.Evaluate(append(faultgraph.Assignment(nil), a...))
-			if got := ev.TopFailed(); got != want {
-				t.Fatalf("graph %d flip %d: TopFailed = %v, Evaluate = %v", i, flip, got, want)
-			}
-		}
-	}
-}

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"indaas/internal/telemetry"
+	"math"
+	mbits "math/bits"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -23,9 +25,10 @@ import (
 // reduced to an irreducible — hence minimal — RG before aggregation, which
 // is how "% of minimal RGs detected" (Fig. 7) is measured.
 //
-// Rounds are partitioned across Workers goroutines, each with its own
-// generator and reusable scratch state, so sampling scales with cores while
-// remaining reproducible: the detected family is a deterministic function of
+// Rounds run 64 at a time, one bit per round in a word per event
+// (faultgraph.LaneEval), and are partitioned across Workers goroutines, each
+// with its own generator and scratch state, so sampling scales with cores
+// while the detected family stays a deterministic function of
 // (Seed, Workers) on any machine.
 type Sampler struct {
 	// Rounds is the number of sampling rounds (paper: 10³–10⁷).
@@ -49,9 +52,7 @@ type Sampler struct {
 	// Workers is the number of concurrent sampling goroutines. 0 (or any
 	// negative value) means runtime.GOMAXPROCS(0) — fastest, but the
 	// detected family then depends on the host's CPU count; fix Workers
-	// explicitly for output that reproduces across machines. Workers==1
-	// retains the single-threaded path, whose output is identical to the
-	// historical sequential sampler for a given Seed.
+	// explicitly for output that reproduces across machines.
 	Workers int
 }
 
@@ -63,7 +64,7 @@ func (s Sampler) Sample(g *faultgraph.Graph) ([]RG, error) {
 }
 
 // SampleContext is Sample under a context. Every worker goroutine polls the
-// context once per sampleCheckInterval rounds: on cancellation all workers
+// context once per sampleCheckBlocks blocks: on cancellation all workers
 // exit promptly (typically within a millisecond of sampling work), their
 // partial families are discarded, and the call returns ctx.Err() with a nil
 // family. Cancellation observed only after every round completed still
@@ -112,25 +113,18 @@ func (s Sampler) SampleContext(ctx context.Context, g *faultgraph.Graph) ([]RG, 
 	// Seed+w: the rounds a striped n≡w (mod workers) split would assign it.
 	// Growing Rounds with (Seed, Workers) fixed only extends each worker's
 	// stream, so detected families grow monotonically with the round count,
-	// matching the sequential sampler's behavior on Fig. 7 curves.
+	// which Fig. 7's curves rely on.
 	results := make([][]RG, workers)
-	if workers == 1 {
-		results[0] = sampleRounds(ctx, g, basics, probs, seed, s.Rounds, s.Shrink)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
 			share := (s.Rounds - w + workers - 1) / workers
-			if share == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(w, share int) {
-				defer wg.Done()
-				results[w] = sampleRounds(ctx, g, basics, probs, seed+int64(w), share, s.Shrink)
-			}(w, share)
-		}
-		wg.Wait()
+			results[w] = sampleBlocks(ctx, g, probs, seed+int64(w), share, s.Shrink)
+		}(w)
 	}
+	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -159,88 +153,120 @@ func (s Sampler) SampleContext(ctx context.Context, g *faultgraph.Graph) ([]RG, 
 	return out, nil
 }
 
-// sampleCheckInterval is how many rounds a sampling worker runs between
-// context polls: a round costs microseconds, so cancellation lands within
-// about a millisecond without the context's mutex showing up in profiles.
-const sampleCheckInterval = 256
-
-// sampleRounds is one worker's sampling loop. All per-round state — the
-// assignment, the failed/shuffle/shrink buffers, the dedup key — is reused
-// across rounds; the only allocations are one copy per unique detected RG.
-// On context cancellation the worker abandons its remaining rounds and
-// returns early; the caller discards the partial family.
-func sampleRounds(ctx context.Context, g *faultgraph.Graph, basics []faultgraph.NodeID, probs []float64, seed int64, rounds int, shrink bool) []RG {
-	rng := rand.New(rand.NewSource(seed))
-	ev := g.NewEvaluator()
-	a := g.AcquireAssignment()
-	defer g.ReleaseAssignment(a)
-	failed := make(RG, 0, len(basics))
-	shuffled := make(RG, 0, len(basics))
-	kept := make(RG, 0, len(basics))
-	keybuf := make([]byte, 0, 4*len(basics))
-	seen := make(map[string]struct{})
-	var out []RG
-	for round := 0; round < rounds; round++ {
-		if round%sampleCheckInterval == 0 && ctx.Err() != nil {
-			return nil
-		}
-		failed = failed[:0]
-		for i, id := range basics {
-			f := rng.Float64() < probs[i]
-			a[id] = f
-			if f {
-				failed = append(failed, id)
-			}
-		}
-		if len(failed) == 0 || !ev.EvalBasics(a) {
-			continue
-		}
-		rg := failed
-		if shrink {
-			// Shrink in random order: a fixed removal order would collapse
-			// most samples onto the same few minimal RGs and cripple the
-			// detection rate on graphs with many cuts (Fig. 7). Removal
-			// trials flip one event at a time, so the incremental evaluator
-			// answers each in time proportional to the affected ancestors
-			// instead of re-walking the whole graph.
-			shuffled = append(shuffled[:0], failed...)
-			rng.Shuffle(len(shuffled), func(i, j int) {
-				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-			})
-			kept = kept[:0]
-			for _, id := range shuffled {
-				ev.SetBasic(id, false)
-				if !ev.TopFailed() {
-					ev.SetBasic(id, true) // necessary: keep it
-					kept = append(kept, id)
-				}
-			}
-			rg = kept
-			sortRG(rg)
-		}
-		keybuf = keybuf[:0]
-		for _, id := range rg {
-			keybuf = binary.LittleEndian.AppendUint32(keybuf, uint32(id))
-		}
-		if _, ok := seen[string(keybuf)]; ok { // no allocation: key lookup only
-			continue
-		}
-		cp := make(RG, len(rg))
-		copy(cp, rg)
-		seen[string(keybuf)] = struct{}{}
-		out = append(out, cp)
+// drawLanes returns 64 independent Bernoulli(p) lanes. Lane l compares a
+// uniform U = 0.u₁u₂… against p's binary expansion digit by digit, one
+// random word serving all lanes per digit: at a 1 digit the tied lanes with
+// uᵢ = 0 fall below p (fail), at a 0 digit those with uᵢ = 1 rise above it
+// (healthy), and lanes still tied after p's last 1 digit have U ≥ p. That
+// is exact for every float64 p, and the draw stops once no lane is tied, so
+// it averages a handful of words; the fair coin is a single word.
+func drawLanes(rng *rand.Rand, p float64) uint64 {
+	if p >= 1 {
+		return ^uint64(0)
 	}
-	return out
+	frac, exp := math.Frexp(p) // p = frac·2^exp, frac ∈ [½, 1), exp ≤ 0; 0 has no digits
+	digits := uint64(frac*(1<<53)) << 11
+	tied := ^uint64(0)
+	for ; exp < 0 && tied != 0; exp++ { // leading zero digits
+		tied &^= rng.Uint64()
+	}
+	var fail uint64
+	for ; digits != 0 && tied != 0; digits <<= 1 {
+		r := rng.Uint64()
+		if digits>>63 == 1 {
+			fail |= tied &^ r
+			tied &= r
+		} else {
+			tied &^= r
+		}
+	}
+	return fail
 }
 
-// sortRG orders an RG's members ascending (shrink output follows the
-// randomized removal order).
-func sortRG(rg RG) {
-	for i := 1; i < len(rg); i++ {
-		for j := i; j > 0 && rg[j] < rg[j-1]; j-- {
-			rg[j], rg[j-1] = rg[j-1], rg[j]
+// sampleCheckBlocks is how many 64-round blocks a worker runs between
+// context polls: 256 rounds take well under a millisecond, so cancellation
+// lands promptly without the context's mutex showing up in profiles.
+const sampleCheckBlocks = 4
+
+// sampleBlocks is one worker's loop over 64-round blocks: draw every basic
+// event's word, evaluate all lanes at once, shrink the failing lanes if
+// asked, and record each failing lane's RG. A short last block draws like a
+// full one and masks its unused lanes, and shuffles run in ascending lane
+// order, so a worker's first n rounds never depend on how many follow. On
+// cancellation it returns nil; the caller discards the partial family.
+//
+// Shrink removes each lane's failed events in its own random order (a fixed
+// order would collapse samples onto a few minimal RGs and cripple Fig. 7's
+// detection): step j clears every lane's j-th candidate, re-evaluates once,
+// and restores the candidates whose lane's top event stopped failing.
+func sampleBlocks(ctx context.Context, g *faultgraph.Graph, probs []float64, seed int64, rounds int, shrink bool) []RG {
+	rng := rand.New(rand.NewSource(seed))
+	ev := g.NewLaneEval()
+	basics := g.BasicEvents()
+	nb := len(basics)
+	x := make([]uint64, g.Len())
+	var order []faultgraph.NodeID // lane l's removal order at [l·nb, l·nb+cnt[l])
+	var cnt [64]int
+	if shrink {
+		order = make([]faultgraph.NodeID, 64*nb)
+	}
+	rg := make(RG, 0, nb)
+	keybuf := make([]byte, 0, 4*nb)
+	seen := make(map[string]struct{})
+	var out []RG
+	for block := 0; block*64 < rounds; block++ {
+		if block%sampleCheckBlocks == 0 && ctx.Err() != nil {
+			return nil
+		}
+		for i, id := range basics {
+			x[id] = drawLanes(rng, probs[i])
+		}
+		failing := ev.Eval(x)
+		if n := rounds - block*64; n < 64 {
+			failing &= 1<<n - 1
+		}
+		steps := 0
+		for f := failing; shrink && f != 0; f &= f - 1 {
+			l := mbits.TrailingZeros64(f)
+			o := order[l*nb : l*nb]
+			for _, id := range basics {
+				if x[id]>>l&1 != 0 {
+					o = append(o, id)
+				}
+			}
+			rng.Shuffle(len(o), func(i, j int) { o[i], o[j] = o[j], o[i] })
+			cnt[l], steps = len(o), max(steps, len(o))
+		}
+		for j, active := 0, failing; j < steps; j++ {
+			for f := active; f != 0; f &= f - 1 {
+				if l := mbits.TrailingZeros64(f); j < cnt[l] {
+					x[order[l*nb+j]] &^= 1 << l
+				} else {
+					active &^= 1 << l // lane l is done
+				}
+			}
+			for need := active &^ ev.Eval(x); need != 0; need &= need - 1 {
+				l := mbits.TrailingZeros64(need)
+				x[order[l*nb+j]] |= 1 << l
+			}
+		}
+		for ; failing != 0; failing &= failing - 1 {
+			l := mbits.TrailingZeros64(failing)
+			rg, keybuf = rg[:0], keybuf[:0]
+			for _, id := range basics { // ascending IDs: rg comes out sorted
+				if x[id]>>l&1 != 0 {
+					rg = append(rg, id)
+					keybuf = binary.LittleEndian.AppendUint32(keybuf, uint32(id))
+				}
+			}
+			if _, ok := seen[string(keybuf)]; ok { // no allocation: key lookup only
+				continue
+			}
+			seen[string(keybuf)] = struct{}{}
+			out = append(out, append(RG(nil), rg...))
 		}
 	}
+	return out
 }
 
 // DetectionRate reports what fraction of the reference minimal RGs appear in
