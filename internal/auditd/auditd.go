@@ -181,6 +181,7 @@ type computation struct {
 type job struct {
 	id        string
 	key       string
+	kind      *jobKind
 	title     string
 	state     string
 	cached    bool
@@ -330,54 +331,49 @@ func New(cfg Config) *Server {
 // Submit validates and accepts an audit request, returning the new job's
 // status. The error, when non-nil, carries an HTTP status via statusErr.
 func (s *Server) Submit(req *SubmitRequest) (JobStatus, error) {
-	return s.submit(req, "")
+	return s.submitJob(auditKind, req, "", false)
 }
 
-// submit is Submit with a recovery id: RecoverJobs replays journaled
-// requests through it so a crashed job reappears under its original id.
-func (s *Server) submit(req *SubmitRequest, recoverID string) (JobStatus, error) {
+// plan normalizes an audit against the database snapshot it names.
+func (req *SubmitRequest) plan(s *Server) (jobPlan, error) {
 	n, opts, err := req.normalize()
 	if err != nil {
-		return JobStatus{}, &statusErr{code: 400, err: err}
+		return jobPlan{}, &statusErr{code: 400, err: err}
 	}
 	snap, err := s.resolveDB(req.Records)
 	if err != nil {
-		return JobStatus{}, err
+		return jobPlan{}, err
 	}
 	n.DBFingerprint = snap.Fingerprint()
 	specs := n.specs()
-	run := func(ctx context.Context) (any, error) {
+	p := jobPlan{key: n.key(), title: req.Title, timeoutMS: req.TimeoutMS}
+	p.run = func(ctx context.Context) (any, error) {
 		rep, err := sia.AuditDeploymentsContext(ctx, snap, "", specs, opts)
 		if err != nil {
 			return nil, err
 		}
 		return rep, nil
 	}
-	extra := &jobExtras{
-		journalKind: journalKindAudit, journalReq: req, recoverID: recoverID,
-		wire: req, dbFP: n.DBFingerprint,
-		selfContained: len(req.Records) > 0,
-		noForward:     req.NoForward || recoverID != "",
-	}
+	p.extra = jobExtras{dbFP: n.DBFingerprint, selfContained: len(req.Records) > 0}
 	if len(req.Records) == 0 {
 		// Server-database jobs participate in the delta lineage: register the
 		// (fingerprint, snapshot, specs) generation on completion, and try to
 		// reuse an ancestor generation now.
 		reqKey := n.requestKey()
-		extra.reg = &lineageReg{reqKey: reqKey, entry: &lineageEntry{
+		p.extra.reg = &lineageReg{reqKey: reqKey, entry: &lineageEntry{
 			fp: snap.Fingerprint(), snap: snap, specs: specs,
 		}}
-		if plan := s.planAuditDelta(reqKey, n.key(), snap, specs, opts); plan != nil {
-			extra.applyPlan(plan)
+		if plan := s.planAuditDelta(reqKey, p.key, snap, specs, opts); plan != nil {
+			p.extra.applyPlan(plan)
 			if plan.run != nil {
-				run = plan.run
+				p.run = plan.run
 				// A delta splice embeds local lineage state; it cannot be
 				// re-expressed to a remote node.
-				extra.noForward = true
+				p.extra.noForward = true
 			}
 		}
 	}
-	return s.enqueue(n.key(), req.Title, req.TimeoutMS, run, extra)
+	return p, nil
 }
 
 // resolveDB picks the dependency database a request runs against: a fresh
@@ -413,22 +409,20 @@ func (s *Server) resolveDB(records []RecordWire) (*depdb.Snapshot, error) {
 type jobExtras struct {
 	adopt    any      // pre-resolved result: finish instantly, no computation
 	adoptKey string   // the content address adopt was read from
-	deltaH   bool     // job is a delta hit (adopt) or delta partial
 	partial  bool     // job re-audits only its dirty subjects
 	dirty    []string // the dirty subjects
 	reg      *lineageReg
-	// journalKind/journalReq describe how to journal the submission: the
-	// wire request is marshaled and persisted under the job's id before the
-	// job can enter the queue, so a kill -9 cannot silently discard accepted
-	// work. Marshaling is deferred until the job is known to compute — hits
-	// never pay for it. recoverID replays a journaled job under its original
-	// id at boot.
-	journalKind string
-	journalReq  any
-	recoverID   string
-	// wire/dbFP/selfContained/noForward populate the Workload's routing
+	// kind and req describe how to journal the submission: the wire request
+	// is marshaled and persisted under the job's id before the job can enter
+	// the queue, so a kill -9 cannot silently discard accepted work.
+	// Marshaling is deferred until the job is known to compute — hits never
+	// pay for it. recoverID replays a journaled job under its original id at
+	// boot.
+	kind      *jobKind
+	req       jobRequest
+	recoverID string
+	// req/dbFP/selfContained/noForward populate the Workload's routing
 	// facts (see executor.go) when the job actually computes.
-	wire          any
 	dbFP          string
 	selfContained bool
 	noForward     bool
@@ -436,7 +430,6 @@ type jobExtras struct {
 
 // applyPlan folds a delta plan into the extras.
 func (e *jobExtras) applyPlan(p *deltaPlan) {
-	e.deltaH = true
 	if p.adopt != nil {
 		e.adopt, e.adoptKey = p.adopt, p.adoptKey
 		return
@@ -448,11 +441,8 @@ func (e *jobExtras) applyPlan(p *deltaPlan) {
 // enqueue registers a job for the content-addressed computation key: a
 // cache hit or an adopted delta ancestor finishes instantly, an identical
 // in-flight computation absorbs the job, and otherwise run is queued for the
-// worker pool. Shared by audit submissions and placement recommendations.
+// worker pool. Every job kind submits through it (see submitJob).
 func (s *Server) enqueue(key, title string, timeoutMS int64, run func(ctx context.Context) (any, error), extra *jobExtras) (JobStatus, error) {
-	if extra == nil {
-		extra = &jobExtras{}
-	}
 	timeout := s.cfg.DefaultTimeout
 	if timeoutMS > 0 {
 		timeout = time.Duration(timeoutMS) * time.Millisecond
@@ -479,6 +469,7 @@ func (s *Server) enqueue(key, title string, timeoutMS int64, run func(ctx contex
 	j := &job{
 		id:        s.allocIDLocked(extra.recoverID),
 		key:       key,
+		kind:      extra.kind,
 		title:     title,
 		submitted: time.Now(),
 		done:      make(chan struct{}),
@@ -486,36 +477,13 @@ func (s *Server) enqueue(key, title string, timeoutMS int64, run func(ctx contex
 		recovered: extra.recoverID != "",
 	}
 
+	var res any
+	var hit, diskHit bool
 	if extra.adopt != nil {
 		// Delta hit: the database changed but the change missed this job's
 		// subjects, so the ancestor result answers it verbatim.
-		adopt := s.cache.adopt(key, extra.adoptKey, extra.adopt)
-		j.state = StateDone
-		j.deltaHit = true
-		j.started, j.finished = j.submitted, j.submitted
-		j.result = retitle(adopt, j.title)
-		close(j.done)
-		s.m.jobDuration.Observe(0) // served within the submit call
-		s.m.deltaHits.Add(1)
-		if extra.reg != nil {
-			extra.reg.entry.resultKey = key
-			s.lineage.addLocked(extra.reg)
-		}
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
-		s.m.submitted.Add(1)
-		s.pruneLocked()
-		if extra.recoverID != "" {
-			// The recovered job settled from its durable ancestor; its
-			// journal record is done.
-			go s.clearJournals([]string{j.id})
-		}
-		return j.statusLocked(), nil
-	}
-
-	var res any
-	var hit, diskHit bool
-	if r, ok := s.cache.peek(key); ok {
+		res, hit = s.cache.adopt(key, extra.adoptKey, extra.adopt), true
+	} else if r, ok := s.cache.peek(key); ok {
 		res, hit = r, true
 	} else if len(s.tiers) > 1 && s.inflight[key] == nil {
 		// Probe the lower result tiers — disk, then any extras (a cluster
@@ -539,24 +507,21 @@ func (s *Server) enqueue(key, title string, timeoutMS int64, run func(ctx contex
 		}
 	}
 
-	if !hit && s.store != nil && extra.journalKind != "" {
+	if !hit && s.store != nil {
 		// The job will compute (or coalesce): journal it BEFORE it can enter
 		// the queue. Once any client observes this job id, a kill -9 must not
 		// silently discard the work — the next boot replays the journal. The
 		// marshal and IO happen with the lock released (same discipline as
 		// the disk probe).
 		s.mu.Unlock()
-		jr := s.journalFor(extra.journalKind, extra.journalReq)
-		if jr != nil {
-			s.persistJob(j.id, jr)
-		}
+		journaled := s.persistJob(j.id, extra.kind, extra.req)
 		s.mu.Lock()
 		if s.closed {
 			go s.clearJournals([]string{j.id})
 			s.m.rejected.Add(1)
 			return JobStatus{}, &statusErr{code: 503, err: errors.New("service is shutting down")}
 		}
-		j.journaled = jr != nil
+		j.journaled = journaled
 		if r, ok := s.cache.peek(key); ok {
 			// The identical computation completed while the journal write was
 			// in flight; serve the hit.
@@ -565,19 +530,24 @@ func (s *Server) enqueue(key, title string, timeoutMS int64, run func(ctx contex
 	}
 
 	if hit {
-		// Content-addressed hit (memory or disk): finish instantly, never
-		// touch the queue. A disk hit serves a result computed before a
-		// restart (or evicted from the memory LRU) without recomputation.
+		// Content-addressed hit (memory or disk) or delta adoption: finish
+		// instantly, never touch the queue. A disk hit serves a result
+		// computed before a restart (or evicted from the memory LRU) without
+		// recomputation.
 		j.state = StateDone
-		j.cached = true
+		j.cached = extra.adopt == nil
+		j.deltaHit = extra.adopt != nil
 		j.diskHit = diskHit
 		j.started, j.finished = j.submitted, j.submitted
-		j.result = retitle(res, j.title)
+		j.result = j.kind.retitle(res, j.title)
 		close(j.done)
 		s.m.jobDuration.Observe(time.Since(j.submitted)) // ≈0 in memory; the disk probe for disk hits
-		if diskHit {
+		switch {
+		case j.deltaHit:
+			s.m.deltaHits.Add(1)
+		case diskHit:
 			s.m.storeHits.Add(1)
-		} else {
+		default:
 			s.m.cacheHits.Add(1)
 		}
 		if extra.reg != nil {
@@ -588,8 +558,8 @@ func (s *Server) enqueue(key, title string, timeoutMS int64, run func(ctx contex
 		}
 		if j.journaled || extra.recoverID != "" {
 			// The hit resolved after the journal write (or this is a
-			// recovered job whose result was durable all along): the journal
-			// record is stale.
+			// recovered job whose result — or ancestor — was durable all
+			// along): the journal record is stale.
 			j.journaled = false
 			go s.clearJournals([]string{j.id})
 		}
@@ -629,11 +599,11 @@ func (s *Server) enqueue(key, title string, timeoutMS int64, run func(ctx contex
 		}
 		wl := &Workload{
 			Key:           key,
-			Kind:          extra.journalKind,
-			Wire:          extra.wire,
+			Kind:          extra.kind.name,
+			Wire:          extra.req,
 			DBFingerprint: extra.dbFP,
 			SelfContained: extra.selfContained,
-			NoForward:     extra.noForward || extra.wire == nil,
+			NoForward:     extra.noForward,
 			Run:           run,
 		}
 		cb := ExecCallbacks{
@@ -810,7 +780,7 @@ func (s *Server) finishLocked(comp *computation, res any, err error) {
 		switch {
 		case err == nil:
 			j.state = StateDone
-			j.result = retitle(res, j.title)
+			j.result = j.kind.retitle(res, j.title)
 			s.m.completed.Add(1)
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			j.state = StateCanceled
@@ -912,20 +882,27 @@ func (s *Server) WaitDone(ctx context.Context, id string, wait time.Duration) (J
 	return j.statusLocked(), nil
 }
 
-// Result returns a finished job's payload — a *report.Report for audit
-// jobs, a *RecommendResponse for recommendation jobs. A 409 error means the
+// Result returns a finished job's payload, of its kind's result type: a
+// *report.Report for audit jobs, a *RecommendResponse for recommendation
+// jobs, a *PrivateAuditResponse for private audits. A 409 error means the
 // job is not done yet (or was canceled/failed).
 func (s *Server) Result(id string) (any, error) {
+	res, _, err := s.result(id)
+	return res, err
+}
+
+// result is Result plus the job's kind.
+func (s *Server) result(id string) (any, *jobKind, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
-		return nil, &statusErr{code: 404, err: fmt.Errorf("unknown job %q", id)}
+		return nil, nil, &statusErr{code: 404, err: fmt.Errorf("unknown job %q", id)}
 	}
 	if j.state != StateDone {
-		return nil, &statusErr{code: 409, err: fmt.Errorf("job %s is %s", id, j.state)}
+		return nil, nil, &statusErr{code: 409, err: fmt.Errorf("job %s is %s", id, j.state)}
 	}
-	return unpackResult(j.result), nil
+	return unpackResult(j.result), j.kind, nil
 }
 
 // Report returns a finished audit job's report; see Result.
@@ -1187,31 +1164,6 @@ func (j *job) statusLocked() JobStatus {
 		st.TraceCounts = j.trace.Counts()
 	}
 	return st
-}
-
-// retitle shallow-copies a cached result with a per-job title; the payload
-// slices are shared and treated as immutable once cached.
-func retitle(res any, title string) any {
-	switch v := res.(type) {
-	case *report.Report:
-		cp := *v
-		cp.Title = title
-		return &cp
-	case *report.Packed:
-		cp := *v
-		cp.Title = title
-		return &cp
-	case *RecommendResponse:
-		cp := *v
-		cp.Title = title
-		return &cp
-	case *PrivateAuditResponse:
-		cp := *v
-		cp.Title = title
-		return &cp
-	default:
-		return res
-	}
 }
 
 // statusErr pairs an error with the HTTP status it should map to. On the

@@ -504,7 +504,7 @@ func TestPreloadedDBSnapshotIsolation(t *testing.T) {
 	}
 }
 
-func testDB(t *testing.T) *depdb.DB {
+func testDB(t testing.TB) *depdb.DB {
 	t.Helper()
 	db := depdb.New()
 	for _, w := range testRecords() {

@@ -207,22 +207,39 @@ func (c *Client) doOnce(ctx context.Context, method, path string, blob []byte, o
 		return err
 	}
 	if resp.StatusCode >= 400 {
-		var ra time.Duration
-		if v := resp.Header.Get("Retry-After"); v != "" {
-			if secs, err := strconv.Atoi(v); err == nil && secs >= 0 {
-				ra = time.Duration(secs) * time.Second
-			}
-		}
-		var eb errorBody
-		if json.Unmarshal(body, &eb) == nil && eb.Error != "" {
-			return &statusErr{code: resp.StatusCode, retryAfter: ra, err: fmt.Errorf("auditd: %s", eb.Error)}
-		}
-		return &statusErr{code: resp.StatusCode, retryAfter: ra, err: fmt.Errorf("auditd: HTTP %d", resp.StatusCode)}
+		return responseErr(resp, body)
 	}
 	if out == nil {
 		return nil
 	}
+	if kb, ok := out.(*kindedBody); ok {
+		kb.kind, kb.body = resp.Header.Get(KindHeader), body
+		return nil
+	}
 	return json.Unmarshal(body, out)
+}
+
+// responseErr turns an error response into a statusErr carrying the
+// server's error message and Retry-After hint.
+func responseErr(resp *http.Response, body []byte) error {
+	var ra time.Duration
+	if v := resp.Header.Get("Retry-After"); v != "" {
+		if secs, err := strconv.Atoi(v); err == nil && secs >= 0 {
+			ra = time.Duration(secs) * time.Second
+		}
+	}
+	var eb errorBody
+	if json.Unmarshal(body, &eb) == nil && eb.Error != "" {
+		return &statusErr{code: resp.StatusCode, retryAfter: ra, err: fmt.Errorf("auditd: %s", eb.Error)}
+	}
+	return &statusErr{code: resp.StatusCode, retryAfter: ra, err: fmt.Errorf("auditd: HTTP %d", resp.StatusCode)}
+}
+
+// kindedBody receives a result response undecoded, with the job kind its
+// KindHeader names.
+type kindedBody struct {
+	kind string
+	body []byte
 }
 
 // transientError classifies an error as worth retrying, with the server's
@@ -265,8 +282,19 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // Submit submits an audit job.
 func (c *Client) Submit(ctx context.Context, req *SubmitRequest) (JobStatus, error) {
+	return c.SubmitJob(ctx, KindAudit, req)
+}
+
+// SubmitJob submits req as a job of the named kind (KindAudit,
+// KindRecommend or KindPrivateAudit) to that kind's POST route; req is the
+// kind's request type.
+func (c *Client) SubmitJob(ctx context.Context, kind string, req any) (JobStatus, error) {
+	k := kindByName(kind)
+	if k == nil {
+		return JobStatus{}, fmt.Errorf("auditd: unknown job kind %q", kind)
+	}
 	var st JobStatus
-	err := c.do(ctx, http.MethodPost, "/v1/audits", req, &st)
+	err := c.do(ctx, http.MethodPost, k.path, req, &st)
 	return st, err
 }
 
@@ -313,114 +341,76 @@ func (c *Client) WaitDone(ctx context.Context, id string) (JobStatus, error) {
 	}
 }
 
-// Report fetches a finished audit job's report. Asking for a
-// recommendation or private-audit job's result is an error rather than a
-// silently zero-valued report — the shared result endpoint serves all
-// payload kinds.
+// Report fetches a finished audit job's report. Asking for another kind's
+// result is an error naming the job's kind rather than a silently
+// zero-valued report — the shared result endpoint serves all kinds.
 func (c *Client) Report(ctx context.Context, id string) (*report.Report, error) {
-	raw, err := c.result(ctx, id)
+	return typedResult[report.Report](ctx, c, KindAudit, id)
+}
+
+// typedResult is JobResult asserted to kind's result type *T.
+func typedResult[T any](ctx context.Context, c *Client, kind, id string) (*T, error) {
+	res, err := c.JobResult(ctx, kind, id)
 	if err != nil {
 		return nil, err
 	}
-	switch resultKind(raw) {
-	case "recommendation":
-		return nil, fmt.Errorf("auditd: job %s is a recommendation job; use RecommendResult", id)
-	case "private-audit":
-		return nil, fmt.Errorf("auditd: job %s is a private-audit job; use PrivateAuditResult", id)
-	}
-	var rep report.Report
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		return nil, err
-	}
-	return &rep, nil
+	return res.(*T), nil
 }
 
-// result fetches a finished job's raw payload from the shared endpoint.
-func (c *Client) result(ctx context.Context, id string) (json.RawMessage, error) {
-	var raw json.RawMessage
-	if err := c.do(ctx, http.MethodGet, "/v1/audits/"+url.PathEscape(id)+"/report", nil, &raw); err != nil {
+// JobResult fetches a finished job's result as the named kind's result type
+// (*report.Report, *RecommendResponse or *PrivateAuditResponse). The
+// response's KindHeader must name that kind; a job of another kind is an
+// error naming it.
+func (c *Client) JobResult(ctx context.Context, kind, id string) (any, error) {
+	res, k, err := c.fetchKinded(ctx, "/v1/audits/"+url.PathEscape(id)+"/report")
+	if err != nil {
 		return nil, err
 	}
-	return raw, nil
+	if k.name != kind {
+		return nil, fmt.Errorf("auditd: job %s is a %s job; use %s", id, k.name, k.fetcher)
+	}
+	return res, nil
 }
 
-// resultKind sniffs which job kind a result payload belongs to: audit
-// reports carry "audits", recommendations carry "rankings" + "strategy",
-// private audits carry "entries" + "protocol".
-func resultKind(raw json.RawMessage) string {
-	var probe struct {
-		Audits   json.RawMessage `json:"audits"`
-		Rankings json.RawMessage `json:"rankings"`
-		Strategy string          `json:"strategy"`
-		Entries  json.RawMessage `json:"entries"`
-		Protocol string          `json:"protocol"`
+// fetchKinded GETs a result and decodes it as the kind its KindHeader names.
+func (c *Client) fetchKinded(ctx context.Context, path string) (any, *jobKind, error) {
+	var kb kindedBody
+	if err := c.do(ctx, http.MethodGet, path, nil, &kb); err != nil {
+		return nil, nil, err
 	}
-	if json.Unmarshal(raw, &probe) != nil {
-		return ""
+	k := kindByName(kb.kind)
+	if k == nil {
+		return nil, nil, fmt.Errorf("auditd: %s: unknown result kind %q", path, kb.kind)
 	}
-	if probe.Audits == nil && (probe.Entries != nil || probe.Protocol != "") {
-		return "private-audit"
+	res := k.newResult()
+	if err := json.Unmarshal(kb.body, res); err != nil {
+		return nil, nil, err
 	}
-	if probe.Audits == nil && (probe.Rankings != nil || probe.Strategy != "") {
-		return "recommendation"
-	}
-	return "audit"
+	return res, k, nil
 }
 
 // Recommend submits a placement recommendation job; poll it with Status or
 // WaitDone like any audit job and fetch the result with RecommendResult.
 func (c *Client) Recommend(ctx context.Context, req *RecommendRequest) (JobStatus, error) {
-	var st JobStatus
-	err := c.do(ctx, http.MethodPost, "/v1/recommend", req, &st)
-	return st, err
+	return c.SubmitJob(ctx, KindRecommend, req)
 }
 
 // RecommendResult fetches a finished recommendation job's ranking; asking
-// for an audit job's result is an error (see Report).
+// for another kind's result is an error (see Report).
 func (c *Client) RecommendResult(ctx context.Context, id string) (*RecommendResponse, error) {
-	raw, err := c.result(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	switch resultKind(raw) {
-	case "audit":
-		return nil, fmt.Errorf("auditd: job %s is an audit job; use Report", id)
-	case "private-audit":
-		return nil, fmt.Errorf("auditd: job %s is a private-audit job; use PrivateAuditResult", id)
-	}
-	var res RecommendResponse
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return typedResult[RecommendResponse](ctx, c, KindRecommend, id)
 }
 
 // PrivateAudit submits a private (PIA) audit job; poll it with Status or
 // WaitDone like any audit job and fetch the result with PrivateAuditResult.
 func (c *Client) PrivateAudit(ctx context.Context, req *PrivateAuditRequest) (JobStatus, error) {
-	var st JobStatus
-	err := c.do(ctx, http.MethodPost, "/v1/private-audits", req, &st)
-	return st, err
+	return c.SubmitJob(ctx, KindPrivateAudit, req)
 }
 
 // PrivateAuditResult fetches a finished private-audit job's report; asking
-// for another job kind's result is an error (see Report).
+// for another kind's result is an error (see Report).
 func (c *Client) PrivateAuditResult(ctx context.Context, id string) (*PrivateAuditResponse, error) {
-	raw, err := c.result(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	switch resultKind(raw) {
-	case "audit":
-		return nil, fmt.Errorf("auditd: job %s is an audit job; use Report", id)
-	case "recommendation":
-		return nil, fmt.Errorf("auditd: job %s is a recommendation job; use RecommendResult", id)
-	}
-	var res PrivateAuditResponse
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return typedResult[PrivateAuditResponse](ctx, c, KindPrivateAudit, id)
 }
 
 // RegisterProvider registers (or replaces) a private-audit provider dataset
@@ -469,53 +459,26 @@ func (c *Client) Trace(ctx context.Context, id string) (TraceResponse, error) {
 	return tr, err
 }
 
-// Cached looks a report up by its content address.
+// Cached looks an audit report up by its content address. A key holding
+// another kind's result is an error naming that kind; CachedAny fetches
+// any kind.
 func (c *Client) Cached(ctx context.Context, key string) (*report.Report, error) {
-	var rep report.Report
-	if err := c.do(ctx, http.MethodGet, "/v1/cache/"+url.PathEscape(key), nil, &rep); err != nil {
+	res, k, err := c.fetchKinded(ctx, "/v1/cache/"+url.PathEscape(key))
+	if err != nil {
 		return nil, err
 	}
-	return &rep, nil
+	if k != auditKind {
+		return nil, fmt.Errorf("auditd: cache key %s holds a %s result, not an audit report; use CachedAny", key, k.name)
+	}
+	return res.(*report.Report), nil
 }
 
-// CachedAny looks any result kind up by its content address, decoding the
-// payload by shape (see DecodeResultPayload). Cluster peers probe each
-// other's caches with it, where a key's kind is not known in advance — the
-// typed Cached would silently mis-decode a recommendation into an
-// almost-empty report.
+// CachedAny looks any result kind up by its content address, decoded as the
+// kind the response's KindHeader names. Cluster peers probe each other's
+// caches with it, where a key's kind is not known in advance.
 func (c *Client) CachedAny(ctx context.Context, key string) (any, error) {
-	var raw json.RawMessage
-	if err := c.do(ctx, http.MethodGet, "/v1/cache/"+url.PathEscape(key), nil, &raw); err != nil {
-		return nil, err
-	}
-	return DecodeResultPayload(raw)
-}
-
-// DecodeResultPayload decodes a raw result payload — as served unwrapped by
-// the shared report endpoint and /v1/cache/{key} — into its concrete type:
-// *report.Report, *RecommendResponse or *PrivateAuditResponse, sniffed by
-// shape exactly as the typed result fetchers do.
-func DecodeResultPayload(raw json.RawMessage) (any, error) {
-	switch resultKind(raw) {
-	case "recommendation":
-		res := new(RecommendResponse)
-		if err := json.Unmarshal(raw, res); err != nil {
-			return nil, err
-		}
-		return res, nil
-	case "private-audit":
-		res := new(PrivateAuditResponse)
-		if err := json.Unmarshal(raw, res); err != nil {
-			return nil, err
-		}
-		return res, nil
-	default:
-		rep := new(report.Report)
-		if err := json.Unmarshal(raw, rep); err != nil {
-			return nil, err
-		}
-		return rep, nil
-	}
+	res, _, err := c.fetchKinded(ctx, "/v1/cache/"+url.PathEscape(key))
+	return res, err
 }
 
 // Metrics fetches the raw metrics exposition text.
@@ -584,17 +547,7 @@ func (w *Watcher) connect() error {
 	if resp.StatusCode != http.StatusOK {
 		defer resp.Body.Close()
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		var ra time.Duration
-		if v := resp.Header.Get("Retry-After"); v != "" {
-			if secs, err := strconv.Atoi(v); err == nil && secs >= 0 {
-				ra = time.Duration(secs) * time.Second
-			}
-		}
-		var eb errorBody
-		if json.Unmarshal(body, &eb) == nil && eb.Error != "" {
-			return &statusErr{code: resp.StatusCode, retryAfter: ra, err: fmt.Errorf("auditd: %s", eb.Error)}
-		}
-		return &statusErr{code: resp.StatusCode, retryAfter: ra, err: fmt.Errorf("auditd: HTTP %d", resp.StatusCode)}
+		return responseErr(resp, body)
 	}
 	w.body = resp.Body
 	w.rd = bufio.NewReader(resp.Body)

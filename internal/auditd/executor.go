@@ -16,15 +16,6 @@ import (
 	"time"
 )
 
-// Workload kinds, shared with the crash journal's job kinds: every
-// submission path tags its workload so a remote executor knows which wire
-// endpoint to re-submit it to and which result type to fetch back.
-const (
-	KindAudit        = "audit"
-	KindRecommend    = "recommend"
-	KindPrivateAudit = "private-audit"
-)
-
 // Workload is one unit of executable work: the run closure and the facts a
 // scheduler needs to place it without understanding its payload.
 type Workload struct {
@@ -32,13 +23,12 @@ type Workload struct {
 	// executor anywhere may compute this workload and the result is valid
 	// under Key on every node.
 	Key string
-	// Kind names the workload family — KindAudit, KindRecommend or
-	// KindPrivateAudit — so a remote executor knows which result type to
-	// fetch back.
+	// Kind is the job kind (KindAudit, KindRecommend or KindPrivateAudit):
+	// a remote executor re-submits Wire as this kind and fetches back this
+	// kind's result.
 	Kind string
-	// Wire is the workload's wire request (*SubmitRequest and friends), nil
-	// when the submission cannot be re-expressed over HTTP. A remote executor
-	// re-submits it verbatim to the owning node.
+	// Wire is the workload's wire request (*SubmitRequest and friends). A
+	// remote executor re-submits it verbatim to the owning node.
 	Wire any
 	// DBFingerprint is the database snapshot the run closure captured; a
 	// remote executor may only forward a non-self-contained workload to a

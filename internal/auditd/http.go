@@ -17,9 +17,9 @@ const maxRequestBody = 32 << 20
 // Handler returns the service's HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/audits", s.handleSubmit)
-	mux.HandleFunc("POST /v1/recommend", s.handleRecommend)
-	mux.HandleFunc("POST /v1/private-audits", s.handlePrivateAudit)
+	for _, k := range jobKinds {
+		mux.HandleFunc("POST "+k.path, s.submitHandler(k))
+	}
 	mux.HandleFunc("POST /v1/providers", s.handleRegisterProvider)
 	mux.HandleFunc("GET /v1/providers", s.handleProviders)
 	mux.HandleFunc("POST /v1/depdb", s.handleIngest)
@@ -85,66 +85,27 @@ const (
 	ReplicatedHeader = "X-Indaas-Replicated"
 )
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	req.NoForward = r.Header.Get(ForwardedHeader) != ""
-	st, err := s.Submit(&req)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	telemetry.AnnotateJob(r, st.ID)
-	code := 202 // accepted, result pending
-	if st.State == StateDone {
-		code = 200 // cache hit: already answered
-	}
-	writeJSON(w, code, st)
-}
-
-// handleRecommend submits a placement recommendation job; the job lifecycle
-// (poll, result, cancel) runs through the shared /v1/audits/{id} endpoints.
-func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	var req RecommendRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	req.NoForward = r.Header.Get(ForwardedHeader) != ""
-	st, err := s.Recommend(&req)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	telemetry.AnnotateJob(r, st.ID)
-	code := 202
-	if st.State == StateDone {
-		code = 200 // cache hit: already answered
-	}
-	writeJSON(w, code, st)
-}
-
-// handlePrivateAudit submits a private (PIA) audit job; like
-// recommendations, its lifecycle runs through the shared /v1/audits/{id}
+// submitHandler returns the POST handler of one job kind. Every kind's
+// lifecycle (poll, result, cancel) runs through the shared /v1/audits/{id}
 // endpoints.
-func (s *Server) handlePrivateAudit(w http.ResponseWriter, r *http.Request) {
-	var req PrivateAuditRequest
-	if !decodeJSON(w, r, &req) {
-		return
+func (s *Server) submitHandler(k *jobKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req := k.newRequest()
+		if !decodeJSON(w, r, req) {
+			return
+		}
+		st, err := s.submitJob(k, req, "", r.Header.Get(ForwardedHeader) != "")
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		telemetry.AnnotateJob(r, st.ID)
+		code := 202 // accepted, result pending
+		if st.State == StateDone {
+			code = 200 // cache hit: already answered
+		}
+		writeJSON(w, code, st)
 	}
-	req.NoForward = r.Header.Get(ForwardedHeader) != ""
-	st, err := s.PrivateAudit(&req)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	telemetry.AnnotateJob(r, st.ID)
-	code := 202
-	if st.State == StateDone {
-		code = 200 // cache hit: already answered
-	}
-	writeJSON(w, code, st)
 }
 
 // handleRegisterProvider registers (or replaces) a private-audit provider
@@ -235,12 +196,15 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, 200, resp)
 }
 
+// handleReport serves a finished job's result, naming its kind in
+// KindHeader.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	res, err := s.Result(r.PathValue("id"))
+	res, k, err := s.result(r.PathValue("id"))
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
+	w.Header().Set(KindHeader, k.name)
 	writeJSON(w, 200, res)
 }
 
@@ -253,13 +217,18 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, 200, st)
 }
 
+// handleCached serves a memory-cached result by content address, naming its
+// kind in KindHeader.
 func (s *Server) handleCached(w http.ResponseWriter, r *http.Request) {
-	rep, err := s.Cached(r.PathValue("key"))
+	res, err := s.Cached(r.PathValue("key"))
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, 200, rep)
+	if k := kindOfResult(res); k != nil {
+		w.Header().Set(KindHeader, k.name)
+	}
+	writeJSON(w, 200, res)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

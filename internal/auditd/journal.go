@@ -17,54 +17,36 @@ import (
 // interrupted it.
 const jobKeyPrefix = "job/"
 
-// The journal's job kinds are the workload kinds (see executor.go): one
-// vocabulary for what a job is, on disk and on the wire.
-const (
-	journalKindAudit     = KindAudit
-	journalKindRecommend = KindRecommend
-	journalKindPrivate   = KindPrivateAudit
-)
-
 // journalRecord is the disk envelope of one accepted job: enough to replay
 // the submission verbatim. Requests are stored in their wire form, so a
 // replay walks the same validation, normalization, delta planning, and
 // caching as the original call.
 type journalRecord struct {
-	Kind    string          `json:"kind"`
+	Kind    string          `json:"kind"` // a job kind's name (see kind.go)
 	Request json.RawMessage `json:"request"`
 }
 
 func journalKey(id string) string { return jobKeyPrefix + id }
 
-// journalFor builds the journal payload for a submission, or nil — meaning
-// "do not journal" — on a memory-only service.
-func (s *Server) journalFor(kind string, req any) *journalRecord {
-	if s.store == nil {
-		return nil
-	}
-	blob, err := json.Marshal(req)
+// persistJob journals an accepted job of kind k, reporting whether the job
+// has a journal record to tombstone when it settles. Skipped while
+// degraded: a job accepted in memory-only mode is lost by a crash, exactly
+// as it would be on a service with no store at all. Called without s.mu
+// held, on a service with a store.
+func (s *Server) persistJob(id string, k *jobKind, req jobRequest) (journaled bool) {
+	request, err := json.Marshal(req)
 	if err != nil {
 		// Wire requests always marshal; never block a submission on this.
-		return nil
-	}
-	return &journalRecord{Kind: kind, Request: blob}
-}
-
-// persistJob journals an accepted job. Skipped while degraded: a job
-// accepted in memory-only mode is lost by a crash, exactly as it would be
-// on a service with no store at all. Called without s.mu held.
-func (s *Server) persistJob(id string, jr *journalRecord) {
-	if s.store == nil || jr == nil {
-		return
+		return false
 	}
 	if !s.breaker.allow() {
 		s.m.storeSkipped.Add(1)
-		return
+		return true
 	}
-	blob, err := json.Marshal(jr)
+	blob, err := json.Marshal(journalRecord{Kind: k.name, Request: request})
 	if err != nil {
 		s.m.storeErrors.Add(1)
-		return
+		return true
 	}
 	evicted, err := s.store.Put(journalKey(id), store.KindJob, blob)
 	if err != nil {
@@ -77,6 +59,7 @@ func (s *Server) persistJob(id string, jr *journalRecord) {
 		s.dropCachedLocked(evicted, "")
 		s.mu.Unlock()
 	}
+	return true
 }
 
 // clearJournals tombstones the journal records of settled jobs. Failures
@@ -143,39 +126,18 @@ func (s *Server) RecoverJobs() (int, error) {
 			s.dropJournal(e.Key, err)
 			continue
 		}
-		switch jr.Kind {
-		case journalKindAudit:
-			var req SubmitRequest
-			if err := json.Unmarshal(jr.Request, &req); err != nil {
-				s.dropJournal(e.Key, err)
-				continue
-			}
-			if _, err := s.submit(&req, id); err != nil {
-				s.dropJournal(e.Key, err)
-				continue
-			}
-		case journalKindRecommend:
-			var req RecommendRequest
-			if err := json.Unmarshal(jr.Request, &req); err != nil {
-				s.dropJournal(e.Key, err)
-				continue
-			}
-			if _, err := s.recommend(&req, id); err != nil {
-				s.dropJournal(e.Key, err)
-				continue
-			}
-		case journalKindPrivate:
-			var req PrivateAuditRequest
-			if err := json.Unmarshal(jr.Request, &req); err != nil {
-				s.dropJournal(e.Key, err)
-				continue
-			}
-			if _, err := s.privateAudit(&req, id); err != nil {
-				s.dropJournal(e.Key, err)
-				continue
-			}
-		default:
+		k := kindByName(jr.Kind)
+		if k == nil {
 			s.dropJournal(e.Key, fmt.Errorf("unknown job kind %q", jr.Kind))
+			continue
+		}
+		req := k.newRequest()
+		if err := json.Unmarshal(jr.Request, req); err != nil {
+			s.dropJournal(e.Key, err)
+			continue
+		}
+		if _, err := s.submitJob(k, req, id, false); err != nil {
+			s.dropJournal(e.Key, err)
 			continue
 		}
 		recovered++

@@ -8,7 +8,6 @@ import (
 
 	"indaas/internal/depdb"
 	"indaas/internal/deps"
-	"indaas/internal/report"
 	"indaas/internal/store"
 )
 
@@ -30,10 +29,6 @@ const (
 	currentSnapshotKey = "depdb/current"
 	// segmentKeyPrefix + "<gen>/<i>" stores one ingested batch.
 	segmentKeyPrefix = "depdb/seg/"
-	// legacySnapshotPrefix is the pre-chain layout: one whole-database
-	// snapshot under its fingerprint, named by a raw-string current pointer.
-	// RestoreDB migrates it forward.
-	legacySnapshotPrefix = "depdb/"
 )
 
 // snapMeta is the JSON value of currentSnapshotKey: which generation of the
@@ -49,7 +44,7 @@ func segmentKey(gen, i int) string {
 	return fmt.Sprintf("%s%d/%d", segmentKeyPrefix, gen, i)
 }
 
-// readSnapMeta loads the persisted chain state; a missing or legacy-format
+// readSnapMeta loads the persisted chain state; a missing or unreadable
 // pointer yields the zero meta (Segments == 0 ⇒ nothing persisted yet, so
 // the next ingest starts a fresh generation with a full base segment).
 func readSnapMeta(st *store.Store) snapMeta {
@@ -67,29 +62,22 @@ func readSnapMeta(st *store.Store) snapMeta {
 // persistedResult is the disk envelope for a completed computation: a kind
 // tag telling the decoder which concrete wire type the payload holds.
 type persistedResult struct {
-	Kind    string          `json:"kind"` // "audit", "recommend" or "private-audit"
+	Kind    string          `json:"kind"` // a job kind's name (see kind.go)
 	Payload json.RawMessage `json:"payload"`
 }
 
 // encodeResult serializes a completed result for the disk store. All
 // payload types already define stable, NaN-safe JSON.
 func encodeResult(res any) ([]byte, error) {
-	var kind string
-	switch res.(type) {
-	case *report.Report:
-		kind = "audit"
-	case *RecommendResponse:
-		kind = "recommend"
-	case *PrivateAuditResponse:
-		kind = "private-audit"
-	default:
+	k := kindOfResult(res)
+	if k == nil {
 		return nil, fmt.Errorf("auditd: result type %T is not persistable", res)
 	}
 	payload, err := json.Marshal(res)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(persistedResult{Kind: kind, Payload: payload})
+	return json.Marshal(persistedResult{Kind: k.name, Payload: payload})
 }
 
 // decodeResult reverses encodeResult.
@@ -98,28 +86,15 @@ func decodeResult(blob []byte) (any, error) {
 	if err := json.Unmarshal(blob, &env); err != nil {
 		return nil, err
 	}
-	switch env.Kind {
-	case "audit":
-		rep := new(report.Report)
-		if err := json.Unmarshal(env.Payload, rep); err != nil {
-			return nil, err
-		}
-		return rep, nil
-	case "recommend":
-		resp := new(RecommendResponse)
-		if err := json.Unmarshal(env.Payload, resp); err != nil {
-			return nil, err
-		}
-		return resp, nil
-	case "private-audit":
-		resp := new(PrivateAuditResponse)
-		if err := json.Unmarshal(env.Payload, resp); err != nil {
-			return nil, err
-		}
-		return resp, nil
-	default:
+	k := kindByName(env.Kind)
+	if k == nil {
 		return nil, fmt.Errorf("auditd: unknown persisted result kind %q", env.Kind)
 	}
+	res := k.newResult()
+	if err := json.Unmarshal(env.Payload, res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // RestoreDB rebuilds the dependency database a crashed or restarted daemon
@@ -131,6 +106,10 @@ func decodeResult(blob []byte) (any, error) {
 // to a single segment while the daemon is still offline — the one moment
 // O(database) persistence work is acceptable — and stale generations are
 // swept.
+//
+// The snapshot chain is the oldest store layout RestoreDB reads: when
+// depdb/current is not a chain pointer, it returns an error and deletes
+// nothing, so the store is left as found.
 func RestoreDB(st *store.Store) (*depdb.DB, error) {
 	blob, _, ok, err := st.Get(currentSnapshotKey)
 	if err != nil {
@@ -141,7 +120,7 @@ func RestoreDB(st *store.Store) (*depdb.DB, error) {
 	}
 	var meta snapMeta
 	if json.Unmarshal(blob, &meta) != nil || meta.Segments <= 0 {
-		return restoreLegacyDB(st, strings.TrimSpace(string(blob)))
+		return nil, fmt.Errorf("auditd: %s is not a snapshot-chain pointer; stores older than the snapshot-chain layout are not supported (re-ingest the database into a fresh data dir)", currentSnapshotKey)
 	}
 	db := depdb.New()
 	for i := 0; i < meta.Segments; i++ {
@@ -175,40 +154,13 @@ func RestoreDB(st *store.Store) (*depdb.DB, error) {
 	return db, nil
 }
 
-// restoreLegacyDB migrates a pre-chain store: the current pointer held a raw
-// fingerprint string and the whole database sat under depdb/<fp>. The
-// fingerprint algorithm has changed since, so the entry is re-addressed
-// under a fresh single-segment chain and the legacy keys are deleted.
-func restoreLegacyDB(st *store.Store, legacyFP string) (*depdb.DB, error) {
-	if legacyFP == "" {
-		return nil, nil
-	}
-	blob, _, ok, err := st.Get(legacySnapshotPrefix + legacyFP)
-	if err != nil {
-		return nil, fmt.Errorf("auditd: reading legacy snapshot %s: %w", legacyFP, err)
-	}
-	if !ok {
-		return nil, fmt.Errorf("auditd: store names current snapshot %s but holds no entry for it", legacyFP)
-	}
-	db, err := depdb.DecodeDB(bytes.NewReader(blob))
-	if err != nil {
-		return nil, err
-	}
-	meta := snapMeta{Fingerprint: db.Fingerprint(), Gen: 1, Segments: 1}
-	if _, err := writeChain(st, db.Records(), meta); err != nil {
-		return nil, fmt.Errorf("auditd: migrating legacy snapshot: %w", err)
-	}
-	st.Delete(legacySnapshotPrefix + legacyFP) // best-effort; superseded
-	return db, nil
-}
-
 // consolidateChain rewrites a multi-segment chain as one segment under the
 // next generation and deletes the old generation's segments. The new
 // generation is fully durable before the current pointer flips, so a crash
 // at any point leaves a replayable chain.
 func consolidateChain(st *store.Store, db *depdb.DB, meta snapMeta) (snapMeta, error) {
 	next := snapMeta{Fingerprint: meta.Fingerprint, Gen: meta.Gen + 1, Segments: 1}
-	if _, err := writeChain(st, db.Records(), next); err != nil {
+	if _, err := writeSegment(st, db.Records(), next); err != nil {
 		return meta, fmt.Errorf("auditd: consolidating snapshot chain: %w", err)
 	}
 	for i := 0; i < meta.Segments; i++ {
@@ -217,15 +169,16 @@ func consolidateChain(st *store.Store, db *depdb.DB, meta snapMeta) (snapMeta, e
 	return next, nil
 }
 
-// writeChain persists records as a fresh single-segment chain and flips the
-// current pointer to it, returning any result keys the store evicted to
-// stay in budget (empty at boot time, when only RestoreDB calls write).
-func writeChain(st *store.Store, records []deps.Record, meta snapMeta) ([]string, error) {
+// writeSegment persists records as the last segment of the chain meta
+// names (segment meta.Segments-1 of generation meta.Gen) and then flips the
+// current pointer to meta, returning any result keys the store evicted to
+// stay in budget.
+func writeSegment(st *store.Store, records []deps.Record, meta snapMeta) ([]string, error) {
 	var buf bytes.Buffer
 	if err := deps.EncodeXML(&buf, records); err != nil {
 		return nil, err
 	}
-	evicted, err := st.Put(segmentKey(meta.Gen, 0), store.KindSnapshot, buf.Bytes())
+	evicted, err := st.Put(segmentKey(meta.Gen, meta.Segments-1), store.KindSnapshot, buf.Bytes())
 	if err != nil {
 		return evicted, err
 	}
@@ -315,42 +268,21 @@ func (s *Server) persistResult(label, key string, res any) []string {
 // a consistent chain (an orphaned segment from an unacknowledged ingest is
 // overwritten by the retry or swept at boot). Caller holds s.ingestMu.
 func (s *Server) persistIngestLocked(db *depdb.DB, batch []deps.Record) error {
-	newFP := db.FingerprintWith(batch...)
-	meta := s.snapMeta
-	var evicted []string
+	meta, records := s.snapMeta, batch
 	if meta.Segments == 0 || s.snapDirty {
 		// First durable snapshot — or the persisted chain went stale while
 		// degraded ingests were committed to memory only: the base segment
 		// must carry everything the live database already holds plus the
 		// batch. A fresh generation replaces the stale chain; its old
 		// segments are swept at the next boot.
-		meta = snapMeta{Fingerprint: newFP, Gen: meta.Gen + 1, Segments: 1}
-		ev, err := writeChain(s.store, append(db.Records(), batch...), meta)
-		evicted = append(evicted, ev...)
-		if err != nil {
-			return err
-		}
-	} else {
-		var buf bytes.Buffer
-		if err := deps.EncodeXML(&buf, batch); err != nil {
-			return err
-		}
-		ev, err := s.store.Put(segmentKey(meta.Gen, meta.Segments), store.KindSnapshot, buf.Bytes())
-		evicted = append(evicted, ev...)
-		if err != nil {
-			return err
-		}
-		meta.Fingerprint = newFP
-		meta.Segments++
-		blob, err := json.Marshal(meta)
-		if err != nil {
-			return err
-		}
-		ev, err = s.store.Put(currentSnapshotKey, store.KindMeta, blob)
-		evicted = append(evicted, ev...)
-		if err != nil {
-			return err
-		}
+		meta = snapMeta{Gen: meta.Gen + 1}
+		records = append(db.Records(), batch...)
+	}
+	meta.Fingerprint = db.FingerprintWith(batch...)
+	meta.Segments++
+	evicted, err := writeSegment(s.store, records, meta)
+	if err != nil {
+		return err
 	}
 	s.snapMeta = meta
 	s.snapDirty = false

@@ -222,10 +222,6 @@ type PrivateAuditRequest struct {
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS caps the job's run time; same semantics as audit jobs.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// NoForward pins the job to this node. Set by the HTTP layer for
-	// requests a cluster peer already forwarded once (single-hop ownership);
-	// never by clients, and excluded from JSON and the cache key.
-	NoForward bool `json:"-"`
 }
 
 // providerRef is a provider's identity inside the canonical form: its name
@@ -419,16 +415,15 @@ func (r *PrivateAuditRequest) Local(ctx context.Context) (*PrivateAuditResponse,
 // result caches and cancellation plumbing: poll and fetch them through the
 // same /v1/audits/{id} endpoints.
 func (s *Server) PrivateAudit(req *PrivateAuditRequest) (JobStatus, error) {
-	return s.privateAudit(req, "")
+	return s.submitJob(privateAuditKind, req, "", false)
 }
 
-// privateAudit is PrivateAudit with a recovery id: RecoverJobs replays
-// journaled requests through it so a crashed job reappears under its
-// original id.
-func (s *Server) privateAudit(req *PrivateAuditRequest, recoverID string) (JobStatus, error) {
+// plan normalizes a private audit, resolving referenced providers in the
+// server's registry.
+func (req *PrivateAuditRequest) plan(s *Server) (jobPlan, error) {
 	n, cfg, provs, deployments, err := req.normalize(s.lookupProvider)
 	if err != nil {
-		return JobStatus{}, &statusErr{code: 400, err: err}
+		return jobPlan{}, &statusErr{code: 400, err: err}
 	}
 	infos := make([]ProviderInfo, len(n.Providers))
 	for i, ref := range n.Providers {
@@ -455,17 +450,8 @@ func (s *Server) privateAudit(req *PrivateAuditRequest, recoverID string) (JobSt
 			break
 		}
 	}
-	extra := &jobExtras{
-		journalKind: journalKindPrivate, journalReq: req, recoverID: recoverID,
-		wire:          req,
-		selfContained: inline,
-		noForward:     req.NoForward || recoverID != "" || !inline,
-	}
-	st, err := s.enqueue(n.key(), req.Title, req.TimeoutMS, run, extra)
-	if err == nil {
-		s.m.privateAudits.Add(1)
-	}
-	return st, err
+	extra := jobExtras{selfContained: inline, noForward: !inline}
+	return jobPlan{key: n.key(), title: req.Title, timeoutMS: req.TimeoutMS, run: run, extra: extra, accepted: &s.m.privateAudits}, nil
 }
 
 // PrivateAuditResponse is the wire form of a completed private audit. Its

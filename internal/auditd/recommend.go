@@ -59,10 +59,6 @@ type RecommendRequest struct {
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS caps the job's run time; same semantics as audit jobs.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// NoForward pins the job to this node. Set by the HTTP layer for
-	// requests a cluster peer already forwarded once (single-hop ownership);
-	// never by clients, and excluded from JSON and the cache key.
-	NoForward bool `json:"-"`
 }
 
 // normalizedRecommend is the canonical, defaults-applied form the cache key
@@ -208,19 +204,19 @@ func (r *RecommendRequest) PlacementRequest() (placement.Request, error) {
 // result cache and cancellation plumbing: poll and fetch them through the
 // same /v1/audits/{id} endpoints.
 func (s *Server) Recommend(req *RecommendRequest) (JobStatus, error) {
-	return s.recommend(req, "")
+	return s.submitJob(recommendKind, req, "", false)
 }
 
-// recommend is Recommend with a recovery id: RecoverJobs replays journaled
-// requests through it so a crashed job reappears under its original id.
-func (s *Server) recommend(req *RecommendRequest, recoverID string) (JobStatus, error) {
+// plan normalizes a recommendation against the database snapshot it names,
+// resolving the candidate pool there.
+func (req *RecommendRequest) plan(s *Server) (jobPlan, error) {
 	n, preq, err := req.normalize()
 	if err != nil {
-		return JobStatus{}, &statusErr{code: 400, err: err}
+		return jobPlan{}, &statusErr{code: 400, err: err}
 	}
 	snap, err := s.resolveDB(req.Records)
 	if err != nil {
-		return JobStatus{}, err
+		return jobPlan{}, err
 	}
 	n.DBFingerprint = snap.Fingerprint()
 
@@ -241,28 +237,24 @@ func (s *Server) recommend(req *RecommendRequest, recoverID string) (JobStatus, 
 		}
 	}
 	if len(n.Nodes) == 0 {
-		return JobStatus{}, &statusErr{code: 400, err: fmt.Errorf("auditd: no candidate nodes (empty pool and no database subjects)")}
+		return jobPlan{}, &statusErr{code: 400, err: fmt.Errorf("auditd: no candidate nodes (empty pool and no database subjects)")}
 	}
 	preq.Nodes = n.Nodes
 	// Fail structurally impossible searches (duplicate nodes, pool smaller
 	// than replicas, fixed ⊇ replicas …) at submission time with a 400,
 	// like every other invalid request — not as a failed job.
 	if err := preq.Validate(); err != nil {
-		return JobStatus{}, &statusErr{code: 400, err: err}
+		return jobPlan{}, &statusErr{code: 400, err: err}
 	}
 
-	extra := &jobExtras{
-		journalKind: journalKindRecommend, journalReq: req, recoverID: recoverID,
-		wire: req, dbFP: n.DBFingerprint,
-		selfContained: len(req.Records) > 0,
-		noForward:     req.NoForward || recoverID != "",
-	}
+	key := n.key()
+	extra := jobExtras{dbFP: n.DBFingerprint, selfContained: len(req.Records) > 0}
 	if len(req.Records) == 0 {
 		reqKey := n.requestKey()
 		universe := append(append([]string(nil), n.Fixed...), n.Nodes...)
 		entry := &lineageEntry{fp: snap.Fingerprint(), snap: snap, kinds: preq.Kinds, nodes: universe}
 		extra.reg = &lineageReg{reqKey: reqKey, entry: entry}
-		if plan := s.planRecommendDelta(reqKey, n.key(), snap, &preq, preq.Kinds, universe); plan != nil {
+		if plan := s.planRecommendDelta(reqKey, key, snap, &preq, preq.Kinds, universe); plan != nil {
 			extra.applyPlan(plan)
 			entry.scores = plan.scores // adopt: chain the ancestor's memo on
 			// The plan seeded preq with local lineage scores; keep it here.
@@ -283,11 +275,7 @@ func (s *Server) recommend(req *RecommendRequest, recoverID string) (JobStatus, 
 		}
 		return RecommendResponseFromResult(res), nil
 	}
-	st, err := s.enqueue(n.key(), req.Title, req.TimeoutMS, run, extra)
-	if err == nil {
-		s.m.recommendations.Add(1)
-	}
-	return st, err
+	return jobPlan{key: key, title: req.Title, timeoutMS: req.TimeoutMS, run: run, extra: extra, accepted: &s.m.recommendations}, nil
 }
 
 // RecommendResponse is the wire form of a completed placement search. Its

@@ -96,6 +96,11 @@ func TestRecommendEndToEnd(t *testing.T) {
 	if res2.Title != "same search, new title" {
 		t.Fatalf("per-job title lost: %q", res2.Title)
 	}
+	// The audit-typed Cached must refuse a recommendation's key by its kind
+	// rather than decode it into an empty report.
+	if rep, err := c.Cached(ctx, st.CacheKey); err == nil || !strings.Contains(err.Error(), KindRecommend) {
+		t.Fatalf("Cached on a recommendation key = %+v, %v; want an error naming %q", rep, err, KindRecommend)
+	}
 
 	// Recommendation counters surface in /metrics.
 	text, err := c.Metrics(ctx)

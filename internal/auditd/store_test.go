@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"indaas/internal/depdb"
-	"indaas/internal/report"
 	"indaas/internal/store"
 )
 
@@ -190,15 +189,12 @@ func TestRestartServesIngestedFingerprint(t *testing.T) {
 	}
 }
 
-// TestRestoreLegacyStoreMigrates: stores written before the snapshot chain
-// held one whole-database snapshot under depdb/<fp> with a raw-string
-// current pointer (and an older fingerprint algorithm). RestoreDB must load
-// it, re-address it under a fresh single-segment chain, and drop the legacy
-// keys.
-func TestRestoreLegacyStoreMigrates(t *testing.T) {
+// TestRestoreRejectsPreChainStore pins the store format floor: a
+// depdb/current pointer that is not a snapshot-chain meta — the pre-chain
+// layout named a whole-database snapshot by a raw fingerprint string — makes
+// RestoreDB fail with an error naming the chain layout, and deletes nothing.
+func TestRestoreRejectsPreChainStore(t *testing.T) {
 	st := openStore(t, t.TempDir())
-
-	// Fabricate the legacy layout by hand.
 	legacy := depdb.New()
 	for _, w := range testRecords() {
 		r, err := w.Record()
@@ -214,37 +210,34 @@ func TestRestoreLegacyStoreMigrates(t *testing.T) {
 		t.Fatal(err)
 	}
 	const oldFP = "0123456789abcdef-old-algorithm-fingerprint"
-	if _, err := st.Put("depdb/"+oldFP, store.KindSnapshot, buf.Bytes()); err != nil {
+	want := map[string][]byte{
+		"depdb/" + oldFP: buf.Bytes(),
+		"depdb/current":  []byte(oldFP),
+	}
+	if _, err := st.Put("depdb/"+oldFP, store.KindSnapshot, want["depdb/"+oldFP]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Put("depdb/current", store.KindMeta, []byte(oldFP)); err != nil {
-		t.Fatal(err)
-	}
-
-	db, err := RestoreDB(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db == nil || db.Len() != legacy.Len() {
-		t.Fatalf("migrated database = %v", db)
-	}
-	if db.Fingerprint() != legacy.Fingerprint() {
-		t.Fatal("migrated fingerprint must match a fresh load of the same records")
-	}
-	meta := readSnapMeta(st)
-	if meta.Segments != 1 || meta.Fingerprint != db.Fingerprint() {
-		t.Fatalf("migrated chain meta = %+v", meta)
-	}
-	if _, _, ok, _ := st.Get("depdb/" + oldFP); ok {
-		t.Fatal("legacy snapshot entry survived migration")
-	}
-	// The migrated chain restores like a native one.
-	db2, err := RestoreDB(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db2.Fingerprint() != db.Fingerprint() {
-		t.Fatal("second restore diverged")
+	for _, ptr := range []string{oldFP, `{"fingerprint":"x","gen":1,"segments":0}`} {
+		want["depdb/current"] = []byte(ptr)
+		if _, err := st.Put("depdb/current", store.KindMeta, want["depdb/current"]); err != nil {
+			t.Fatal(err)
+		}
+		db, err := RestoreDB(st)
+		if err == nil || !strings.Contains(err.Error(), "snapshot-chain") {
+			t.Fatalf("RestoreDB(current=%q) = %v, %v; want an error naming the snapshot-chain layout", ptr, db, err)
+		}
+		if db != nil {
+			t.Fatalf("RestoreDB returned a database alongside its error")
+		}
+		if n := len(st.Entries()); n != len(want) {
+			t.Fatalf("store holds %d entries after a refused restore, want %d", n, len(want))
+		}
+		for key, blob := range want {
+			got, _, ok, err := st.Get(key)
+			if err != nil || !ok || !bytes.Equal(got, blob) {
+				t.Fatalf("%s after a refused restore: ok=%v err=%v, changed=%v", key, ok, err, !bytes.Equal(got, blob))
+			}
+		}
 	}
 }
 
@@ -309,46 +302,6 @@ func TestStoreEvictionMirroredIntoMemory(t *testing.T) {
 	b2 := mustSubmit(t, s, reqB)
 	if !b2.Cached {
 		t.Fatalf("B should still be served from memory, got %+v", b2)
-	}
-}
-
-// TestResultCodec pins the disk envelope: both payload types round-trip,
-// and garbage fails loudly instead of producing a zero-valued result.
-func TestResultCodec(t *testing.T) {
-	if _, err := encodeResult(42); err == nil {
-		t.Error("encodeResult accepted an unpersistable type")
-	}
-	if _, err := decodeResult([]byte("{")); err == nil {
-		t.Error("decodeResult accepted truncated JSON")
-	}
-	if _, err := decodeResult([]byte(`{"kind":"mystery","payload":{}}`)); err == nil {
-		t.Error("decodeResult accepted an unknown kind")
-	}
-
-	rep := &report.Report{Title: "codec"}
-	blob, err := encodeResult(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := decodeResult(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := back.(*report.Report); !ok || got.Title != "codec" {
-		t.Fatalf("report round-trip = %#v", back)
-	}
-
-	resp := &RecommendResponse{Strategy: "exact", Replicas: 2}
-	blob, err = encodeResult(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err = decodeResult(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := back.(*RecommendResponse); !ok || got.Strategy != "exact" || got.Replicas != 2 {
-		t.Fatalf("recommend round-trip = %#v", back)
 	}
 }
 

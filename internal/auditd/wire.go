@@ -112,10 +112,6 @@ type SubmitRequest struct {
 	// computation keeps its own deadline without imposing it on the other
 	// waiters — and, like Title, does not contribute to the cache key.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// NoForward pins the job to this node. Set by the HTTP layer for
-	// requests a cluster peer already forwarded once (single-hop ownership);
-	// never by clients, and excluded from JSON and the cache key.
-	NoForward bool `json:"-"`
 }
 
 // normalized is the canonical, defaults-applied form of a request that the

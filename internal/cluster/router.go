@@ -32,7 +32,7 @@ type router struct {
 // decision that could touch the network happens on a spawned goroutine; the
 // synchronous path only inspects in-memory state.
 func (r *router) Submit(ctx context.Context, w *auditd.Workload, cb auditd.ExecCallbacks) error {
-	if w.NoForward || !wireMatchesKind(w) {
+	if w.NoForward {
 		return r.inner.Submit(ctx, w, cb)
 	}
 	if sr, ok := w.Wire.(*auditd.SubmitRequest); ok && len(sr.Deployments) >= 2 && r.n.healthyPeers() > 0 {
@@ -64,22 +64,6 @@ func (r *router) Close() { r.inner.Close() }
 func (r *router) Wait() {
 	r.wg.Wait()
 	r.inner.Wait()
-}
-
-// wireMatchesKind guards the type assertions the forwarding paths make.
-func wireMatchesKind(w *auditd.Workload) bool {
-	switch w.Kind {
-	case auditd.KindAudit:
-		_, ok := w.Wire.(*auditd.SubmitRequest)
-		return ok
-	case auditd.KindRecommend:
-		_, ok := w.Wire.(*auditd.RecommendRequest)
-		return ok
-	case auditd.KindPrivateAudit:
-		_, ok := w.Wire.(*auditd.PrivateAuditRequest)
-		return ok
-	}
-	return false
 }
 
 // eligible decides whether owner may compute w: always for self-contained
@@ -139,7 +123,7 @@ func (r *router) forward(ctx context.Context, owner string, w *auditd.Workload, 
 		return
 	}
 	c := r.n.fwd[owner]
-	st, err := submitByKind(ctx, c, w)
+	st, err := c.SubmitJob(ctx, w.Kind, w.Wire)
 	if err != nil {
 		r.n.m.forwardFailures.Add(1)
 		r.n.markDead(owner)
@@ -167,7 +151,7 @@ func (r *router) forward(ctx context.Context, owner string, w *auditd.Workload, 
 	}
 	switch done.State {
 	case auditd.StateDone:
-		res, err := fetchResultByKind(ctx, c, w.Kind, st.ID)
+		res, err := c.JobResult(ctx, w.Kind, st.ID)
 		if err != nil {
 			// Completed remotely but the result fetch broke: recompute — the
 			// content-addressed result is identical.
@@ -181,44 +165,6 @@ func (r *router) forward(ctx context.Context, owner string, w *auditd.Workload, 
 		cb.Done(nil, fmt.Errorf("job canceled on owner %s", owner))
 	default:
 		cb.Done(nil, errors.New(done.Error))
-	}
-}
-
-// submitByKind re-submits the workload's wire request to the owner's
-// matching endpoint; wireMatchesKind vetted the assertions.
-func submitByKind(ctx context.Context, c *auditd.Client, w *auditd.Workload) (auditd.JobStatus, error) {
-	switch w.Kind {
-	case auditd.KindRecommend:
-		return c.Recommend(ctx, w.Wire.(*auditd.RecommendRequest))
-	case auditd.KindPrivateAudit:
-		return c.PrivateAudit(ctx, w.Wire.(*auditd.PrivateAuditRequest))
-	default:
-		return c.Submit(ctx, w.Wire.(*auditd.SubmitRequest))
-	}
-}
-
-// fetchResultByKind fetches the finished job's result as the concrete type
-// the server caches for that workload kind.
-func fetchResultByKind(ctx context.Context, c *auditd.Client, kind, id string) (any, error) {
-	switch kind {
-	case auditd.KindRecommend:
-		res, err := c.RecommendResult(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
-	case auditd.KindPrivateAudit:
-		res, err := c.PrivateAuditResult(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
-	default:
-		res, err := c.Report(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
 	}
 }
 
